@@ -40,7 +40,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use vcf_hash::{mix64, HashKind};
 use vcf_table::AtomicFingerprintTable;
-use vcf_traits::{BuildError, ConcurrentFilter, Counters, Filter, InsertError, Stats};
+use vcf_traits::{BatchOpKind, BuildError, ConcurrentFilter, Counters, Filter, InsertError, Stats};
 
 /// Maximum length of one unlocked relocation path. Longer cascades are
 /// split across retries of the outer kick loop, so this bounds how much
@@ -52,9 +52,26 @@ const MAX_PATH: usize = 5;
 /// candidate buckets.
 const CONTAINS_RETRIES: usize = 8;
 
+/// Keys whose candidate buckets a batched lookup touches ahead of
+/// probing them (a stack window, as in the sequential VCF's batch
+/// insert).
+const WINDOW: usize = 16;
+
 /// One hop of a relocation chain: `(bucket, slot, fingerprint)` — the
 /// fingerprint observed in that slot at scan time.
 type PathStep = (usize, usize, u32);
+
+/// A relocation chain of at most [`MAX_PATH`] hops, held on the stack.
+struct Path {
+    steps: [PathStep; MAX_PATH],
+    len: usize,
+}
+
+impl Path {
+    fn steps(&self) -> &[PathStep] {
+        &self.steps[..self.len]
+    }
+}
 
 /// A thread-safe Vertical Cuckoo Filter: every operation takes `&self`,
 /// so the filter can sit in an `Arc` and be hammered from many threads.
@@ -368,9 +385,10 @@ impl ConcurrentVcf {
             });
             match self.find_path(&cands, rng, &mut probes) {
                 Some((path, final_dst)) => {
+                    let path = path.steps();
                     kicks += path.len() as u64;
                     self.counters.add_hashes(path.len() as u64);
-                    if self.execute_path(&path, final_dst, fingerprint) {
+                    if self.execute_path(path, final_dst, fingerprint) {
                         self.counters.add_kicks(kicks);
                         self.counters.record_insert(probes, 4 + 3 * kicks);
                         return Ok(());
@@ -388,17 +406,21 @@ impl ConcurrentVcf {
     /// of `(bucket, slot, fingerprint)` moves where each fingerprint can
     /// hop to the *next* entry's bucket, ending in `final_dst` which had
     /// an empty slot at scan time. Returns `None` if no chain of length
-    /// ≤ [`MAX_PATH`] was found on this walk.
+    /// ≤ [`MAX_PATH`] was found on this walk. Allocation-free: the chain
+    /// and the onward choices live in fixed arrays.
     fn find_path(
         &self,
         cands: &Candidates,
         rng: &mut SmallRng,
         probes: &mut u64,
-    ) -> Option<(Vec<PathStep>, usize)> {
+    ) -> Option<(Path, usize)> {
         let slots = self.table.slots_per_bucket();
         let mut cur = cands.buckets[rng.gen_range(0..4)];
-        let mut path = Vec::with_capacity(MAX_PATH);
-        for _ in 0..MAX_PATH {
+        let mut path = Path {
+            steps: [(0, 0, 0); MAX_PATH],
+            len: 0,
+        };
+        for step in &mut path.steps {
             let slot = rng.gen_range(0..slots);
             let victim = self.table.get(cur, slot);
             if victim == 0 {
@@ -406,7 +428,8 @@ impl ConcurrentVcf {
                 // chain here; the previous hop claims into `cur`.
                 return Some((path, cur));
             }
-            path.push((cur, slot, victim));
+            *step = (cur, slot, victim);
+            path.len += 1;
             let alts = self
                 .params
                 .alternates(cur, self.hash.hash_fingerprint(victim));
@@ -419,12 +442,19 @@ impl ConcurrentVcf {
             }
             // All of the victim's alternates are full too: walk onward
             // through a random one and kick deeper.
-            let choices: Vec<usize> = alts.iter().copied().filter(|&a| a != cur).collect();
-            if choices.is_empty() {
+            let mut choices = [0usize; 3];
+            let mut len = 0;
+            for &alt in alts.iter().filter(|&&a| a != cur) {
+                if let Some(choice) = choices.get_mut(len) {
+                    *choice = alt;
+                    len += 1;
+                }
+            }
+            if len == 0 {
                 // Degenerate masks (offsets all zero): nowhere to go.
                 return None;
             }
-            cur = choices[rng.gen_range(0..choices.len())];
+            cur = choices[rng.gen_range(0..len)];
         }
         None
     }
@@ -573,22 +603,52 @@ impl ConcurrentVcf {
         self.contains_key(fingerprint, &cands)
     }
 
-    /// Batched lookup: hashes every item up front, touching candidate
-    /// buckets to overlap cache misses (same scheme as the sequential
-    /// VCF), then probes each item optimistically.
+    /// Batched lookup: a thin adapter over [`Self::run_batch`].
     pub fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
-        let mut keys = Vec::with_capacity(items.len());
-        for item in items {
-            let (fingerprint, b1) = self.key_of(item);
-            let cands = self.candidates_of(fingerprint, b1);
-            for bucket in cands.iter() {
-                self.table.touch_bucket(bucket);
+        let mut out = vec![false; items.len()];
+        self.run_batch(BatchOpKind::Lookup, items, &mut out);
+        out
+    }
+
+    /// Batched lookup into `out`: hashes a window of [`WINDOW`] items,
+    /// touching their candidate buckets to overlap cache misses (same
+    /// scheme as the sequential VCF), then probes each of them
+    /// optimistically. The window lives on the stack.
+    fn contains_into(&self, items: &[&[u8]], out: &mut [bool]) {
+        let empty = Candidates { buckets: [0; 4] };
+        let mut window = [(0u32, empty); WINDOW];
+        for (chunk, out) in items.chunks(WINDOW).zip(out.chunks_mut(WINDOW)) {
+            for (staged, item) in window.iter_mut().zip(chunk) {
+                let (fingerprint, b1) = self.key_of(item);
+                let cands = self.candidates_of(fingerprint, b1);
+                for bucket in cands.iter() {
+                    self.table.touch_bucket(bucket);
+                }
+                *staged = (fingerprint, cands);
             }
-            keys.push((fingerprint, cands));
+            for (bit, (fingerprint, cands)) in out.iter_mut().zip(&window) {
+                *bit = self.contains_key(*fingerprint, cands);
+            }
         }
-        keys.iter()
-            .map(|&(fingerprint, ref cands)| self.contains_key(fingerprint, cands))
-            .collect()
+    }
+
+    /// Executes one single-kind batch, writing one outcome bit per item
+    /// into `out` without heap allocation: inserts and deletes run key
+    /// by key, lookups through the windowed prefetch pipeline.
+    pub fn run_batch(&self, op: BatchOpKind, items: &[&[u8]], out: &mut [bool]) {
+        match op {
+            BatchOpKind::Insert => {
+                for (bit, item) in out.iter_mut().zip(items) {
+                    *bit = self.insert(item).is_ok();
+                }
+            }
+            BatchOpKind::Lookup => self.contains_into(items, out),
+            BatchOpKind::Delete => {
+                for (bit, item) in out.iter_mut().zip(items) {
+                    *bit = self.delete(item);
+                }
+            }
+        }
     }
 
     // ---- delete -------------------------------------------------------
@@ -673,12 +733,12 @@ impl ConcurrentFilter for ConcurrentVcf {
         ConcurrentVcf::contains(self, item)
     }
 
-    fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
-        ConcurrentVcf::contains_batch(self, items)
-    }
-
     fn delete(&self, item: &[u8]) -> bool {
         ConcurrentVcf::delete(self, item)
+    }
+
+    fn run_batch(&self, op: BatchOpKind, items: &[&[u8]], out: &mut [bool]) {
+        ConcurrentVcf::run_batch(self, op, items, out);
     }
 
     fn len(&self) -> usize {

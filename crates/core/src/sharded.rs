@@ -24,7 +24,9 @@ use crate::scalable::ScalableVcf;
 use crate::vcf::VerticalCuckooFilter;
 use std::sync::RwLock;
 use vcf_hash::mix64;
-use vcf_traits::{BuildError, ConcurrentFilter, Filter, InsertError, ScalableFilter, Stats};
+use vcf_traits::{
+    BatchOpKind, BuildError, ConcurrentFilter, Filter, InsertError, ScalableFilter, Stats,
+};
 
 /// Salt decorrelating shard routing from in-shard bucket hashing.
 const SHARD_SALT: u64 = 0x5348_4152_4421; // "SHARD!"
@@ -294,19 +296,58 @@ impl<F: ConcurrentFilter> ShardRouter<F> {
     ///
     /// Panics if a locked shard's lock is poisoned.
     pub fn insert_batch(&self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
-        debug_assert!(self.shard_mask as usize == self.shards.len() - 1);
         let mut out = vec![Ok(()); items.len()];
+        self.for_each_shard_group(items, |shard, group, shard_items| {
+            for (&pos, result) in group.iter().zip(shard.insert_batch(shard_items)) {
+                if let Some(slot) = out.get_mut(pos) {
+                    *slot = result;
+                }
+            }
+        });
+        out
+    }
+
+    /// Routes the whole batch, then hands each touched shard its items
+    /// **once**, in input order, with their input positions: one lock
+    /// acquisition (or one cache-overlapped probe pass) per touched
+    /// shard instead of one per item.
+    fn for_each_shard_group<'a>(
+        &self,
+        items: &[&'a [u8]],
+        mut run: impl FnMut(&F, &[usize], &[&'a [u8]]),
+    ) {
+        debug_assert!(self.shard_mask as usize == self.shards.len() - 1);
+        let mut shard_items = Vec::new();
         for (shard, group) in self.group_by_shard(items).iter().enumerate() {
             if group.is_empty() {
                 continue;
             }
-            let shard_items: Vec<&[u8]> = group.iter().map(|&pos| items[pos]).collect();
-            let results = self.shards[shard].insert_batch(&shard_items);
-            for (&pos, result) in group.iter().zip(results) {
-                out[pos] = result;
-            }
+            shard_items.clear();
+            shard_items.extend(group.iter().map(|&pos| items[pos]));
+            run(&self.shards[shard], group, &shard_items);
         }
-        out
+    }
+
+    /// Executes one single-kind batch, writing one outcome bit per item
+    /// into `out` in input order. Each touched shard runs its own batch
+    /// call once over its group; duplicate keys behave like the serial
+    /// loop, because a group keeps input order within its shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a locked shard's lock is poisoned.
+    pub fn run_batch(&self, op: BatchOpKind, items: &[&[u8]], out: &mut [bool]) {
+        let mut bits = Vec::new();
+        self.for_each_shard_group(items, |shard, group, shard_items| {
+            bits.clear();
+            bits.resize(shard_items.len(), false);
+            shard.run_batch(op, shard_items, &mut bits);
+            for (&pos, &bit) in group.iter().zip(&bits) {
+                if let Some(slot) = out.get_mut(pos) {
+                    *slot = bit;
+                }
+            }
+        });
     }
 
     /// Membership test.
@@ -319,29 +360,14 @@ impl<F: ConcurrentFilter> ShardRouter<F> {
         self.shards[self.shard_of(item)].contains(item)
     }
 
-    /// Batched membership test: routes the whole batch first, then visits
-    /// each shard **once** and runs the shard's own batched probe over
-    /// its group — one lock acquisition (or one cache-overlapped probe
-    /// pass) per touched shard instead of one per item. Answers come back
-    /// in input order.
+    /// Batched membership test: a thin adapter over [`Self::run_batch`].
     ///
     /// # Panics
     ///
     /// Panics if a locked shard's lock is poisoned.
     pub fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
-        // Route every item, then one batched probe per non-empty shard.
-        debug_assert!(self.shard_mask as usize == self.shards.len() - 1);
         let mut out = vec![false; items.len()];
-        for (shard, group) in self.group_by_shard(items).iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let shard_items: Vec<&[u8]> = group.iter().map(|&pos| items[pos]).collect();
-            let answers = self.shards[shard].contains_batch(&shard_items);
-            for (&pos, answer) in group.iter().zip(answers) {
-                out[pos] = answer;
-            }
-        }
+        self.run_batch(BatchOpKind::Lookup, items, &mut out);
         out
     }
 
@@ -355,26 +381,15 @@ impl<F: ConcurrentFilter> ShardRouter<F> {
         self.shards[self.shard_of(item)].delete(item)
     }
 
-    /// Batched delete: one grouped visit per touched shard, answers in
-    /// input order. Duplicate keys in the batch behave like the serial
-    /// loop (each delete removes at most one copy), because the group
-    /// preserves input order within its shard.
+    /// Batched delete: a thin adapter over [`Self::run_batch`]. Each
+    /// delete removes at most one copy, as in the serial loop.
     ///
     /// # Panics
     ///
     /// Panics if a locked shard's lock is poisoned.
     pub fn delete_batch(&self, items: &[&[u8]]) -> Vec<bool> {
         let mut out = vec![false; items.len()];
-        for (shard, group) in self.group_by_shard(items).iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let shard_items: Vec<&[u8]> = group.iter().map(|&pos| items[pos]).collect();
-            let answers = self.shards[shard].delete_batch(&shard_items);
-            for (&pos, answer) in group.iter().zip(answers) {
-                out[pos] = answer;
-            }
-        }
+        self.run_batch(BatchOpKind::Delete, items, &mut out);
         out
     }
 
@@ -441,16 +456,12 @@ impl<F: ConcurrentFilter> ConcurrentFilter for ShardRouter<F> {
         ShardRouter::contains(self, item)
     }
 
-    fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
-        ShardRouter::contains_batch(self, items)
-    }
-
     fn delete(&self, item: &[u8]) -> bool {
         ShardRouter::delete(self, item)
     }
 
-    fn delete_batch(&self, items: &[&[u8]]) -> Vec<bool> {
-        ShardRouter::delete_batch(self, items)
+    fn run_batch(&self, op: BatchOpKind, items: &[&[u8]], out: &mut [bool]) {
+        ShardRouter::run_batch(self, op, items, out);
     }
 
     fn len(&self) -> usize {

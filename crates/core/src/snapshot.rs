@@ -143,6 +143,16 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take::<8>()?))
     }
+
+    /// Fails unless at least `count × width` bytes remain, so a header
+    /// cannot size a table its buffer does not back.
+    fn expect_at_least(&self, count: usize, width: usize) -> Result<(), SnapshotError> {
+        let remaining = self.buffer.len().saturating_sub(self.at);
+        match count.checked_mul(width) {
+            Some(needed) if needed <= remaining => Ok(()),
+            _ => Err(SnapshotError::Truncated),
+        }
+    }
 }
 
 impl VerticalCuckooFilter {
@@ -202,6 +212,8 @@ impl VerticalCuckooFilter {
             eviction: EvictionPolicy::RandomWalk,
         };
         config.validate()?;
+        // Check the slot data is all there before allocating for it.
+        reader.expect_at_least(buckets, slots_per_bucket.saturating_mul(4))?;
         let masks = MaskPair::with_ones(mask_ones, fingerprint_bits)?;
         let label = if mask_ones == fingerprint_bits / 2 {
             "VCF".to_owned()
@@ -295,6 +307,9 @@ impl KVcf {
             eviction: EvictionPolicy::RandomWalk,
         };
         config.validate()?;
+        // Every bucket carries at least its count byte: check they are
+        // all there before allocating the table.
+        reader.expect_at_least(buckets, 1)?;
         let mut filter = KVcf::new(config, k)?;
 
         let mut counted = 0u64;
@@ -553,6 +568,35 @@ mod tests {
             VerticalCuckooFilter::from_snapshot(&bytes),
             Err(SnapshotError::OccupancyMismatch { .. })
         ));
+    }
+
+    /// A 16-bucket snapshot cut to 40 bytes whose header claims 2^36
+    /// buckets: the decoder must refuse it before sizing a table by it.
+    fn forged_bucket_count(mut bytes: Vec<u8>) -> Vec<u8> {
+        bytes.truncate(40);
+        bytes[4..12].copy_from_slice(&(1u64 << 36).to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn forged_bucket_count_is_rejected_before_allocating() {
+        let filter = VerticalCuckooFilter::new(CuckooConfig::new(16)).unwrap();
+        let bytes = forged_bucket_count(filter.to_snapshot());
+        assert_eq!(
+            VerticalCuckooFilter::from_snapshot(&bytes).err(),
+            Some(SnapshotError::Truncated)
+        );
+    }
+
+    #[test]
+    fn kvcf_forged_bucket_count_is_rejected_before_allocating() {
+        let config = CuckooConfig::new(16).with_fingerprint_bits(16);
+        let filter = KVcf::new(config, 6).unwrap();
+        let bytes = forged_bucket_count(filter.to_snapshot());
+        assert_eq!(
+            KVcf::from_snapshot(&bytes).err(),
+            Some(SnapshotError::Truncated)
+        );
     }
 
     #[test]

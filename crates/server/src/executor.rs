@@ -1,21 +1,33 @@
-//! Thread-per-core shard-affinity executor.
+//! Shard-affinity executor with an inline fast path.
 //!
 //! The server owns one [`ShardExecutor`] shared by every connection.
-//! Worker thread `w` exclusively executes operations for the shard
-//! group `{s : s % workers == w}` — a key's ops always land on the
-//! thread owning its shard, so shard-local cache lines stay hot on one
-//! core and two workers never contend on the same shard's buckets.
-//! (The offline workspace has no CPU-affinity syscall access, so the
-//! pinning is *data* affinity: the OS may migrate the thread, but the
-//! shard→thread ownership never changes.)
+//! Worker thread `w` owns the shard group `{s : s % workers == w}`. A
+//! connection thread routes each frame's keys by
+//! [`ShardEngine::shard_of`] into one group per worker:
 //!
-//! A connection thread routes each frame's keys by
-//! [`ShardEngine::shard_of`], dispatches one [`Job`] per involved
-//! worker, then reassembles the per-key outcome bits into the response
-//! bitmap in input order. Per-key ordering is preserved end to end:
-//! a key always maps to one shard and hence one worker, workers keep a
-//! frame's per-shard runs in input order (stable sort), and frames on a
-//! connection are strictly serialized by the one-in-flight protocol.
+//! * When exactly one group is non-empty — every frame with one worker,
+//!   and small frames with more — the connection thread runs that group
+//!   itself, through the same [`run_items`] the workers call, and skips
+//!   the channel hop.
+//! * Otherwise it dispatches one [`Job`] per involved worker, blocks for
+//!   the replies, and scatters the per-key outcome bits into the
+//!   response bitmap.
+//!
+//! So a shard is not touched by exactly one thread: an inline frame runs
+//! on its connection thread while a worker may run another frame on the
+//! same shard. That is safe because every shard call goes through the
+//! engine's `&self` batch call — lock-free seqlock `ConcurrentVcf`
+//! shards, or `RwLock`-guarded elastic shards. Per-key order still holds
+//! end to end: a key always maps to one shard, a frame's keys run in
+//! input order within each shard (routing is a stable counting sort by
+//! shard), and a connection has at most one frame in flight.
+//!
+//! Steady-state frames allocate nothing on the default
+//! `ShardedConcurrentVcf` engine: routing, item and result buffers are
+//! per-connection scratch handed to workers and back, a worker passes
+//! keys to the shard through a fixed stack chunk, and the shard writes
+//! its outcome bits into a slice the caller owns
+//! ([`ShardEngine::shard_run`]).
 //!
 //! This module is on the server hot path and is written panic-free
 //! (checked by `vcf-xtask lint`'s no-panic rule).
@@ -25,9 +37,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use vcf_core::ShardRouter;
-use vcf_traits::{BatchOpKind, ConcurrentFilter, FilterService};
+use vcf_traits::{BatchOpKind, ConcurrentFilter};
 
 use crate::protocol::{bitmap_set, KEY_LEN};
+
+/// Keys handed to one shard call. Longer per-shard runs are split into
+/// chunks of this size; the outcome bits do not change, because every
+/// engine's batch call answers like its serial loop.
+const RUN_CHUNK: usize = 128;
 
 /// A sharded batched-op engine the executor can route over: shard
 /// resolution plus per-shard batch execution, object-safe so the server
@@ -39,10 +56,18 @@ pub trait ShardEngine: Send + Sync {
     /// Shard owning `key` — the same routing the filter itself uses.
     fn shard_of(&self, key: &[u8]) -> usize;
 
-    /// Executes one single-kind batch entirely within `shard`,
-    /// returning one outcome bit per key in input order. Out-of-range
-    /// shards (impossible via [`Self::shard_of`]) yield all-false.
-    fn shard_execute(&self, shard: usize, op: BatchOpKind, keys: &[&[u8]]) -> Vec<bool>;
+    /// Executes one single-kind batch entirely within `shard`, writing
+    /// one outcome bit per key, in input order, into `out` (sized
+    /// `keys.len()` by the caller). Out-of-range shards (impossible via
+    /// [`Self::shard_of`]) yield all-false.
+    fn shard_run(&self, shard: usize, op: BatchOpKind, keys: &[&[u8]], out: &mut [bool]);
+
+    /// [`Self::shard_run`] returning a fresh `Vec` of outcome bits.
+    fn shard_execute(&self, shard: usize, op: BatchOpKind, keys: &[&[u8]]) -> Vec<bool> {
+        let mut out = vec![false; keys.len()];
+        self.shard_run(shard, op, keys, &mut out);
+        out
+    }
 
     /// Entries stored across all shards.
     fn total_len(&self) -> usize;
@@ -54,6 +79,10 @@ pub trait ShardEngine: Send + Sync {
     fn engine_name(&self) -> String;
 }
 
+/// Every router is an engine. Shard calls allocate nothing on
+/// `ConcurrentVcf` shards; `RwLock`-wrapped shards (the elastic
+/// `ShardedScalableVcf`) keep the allocations of their sequential
+/// filter's batch calls.
 impl<F: ConcurrentFilter> ShardEngine for ShardRouter<F> {
     fn shard_count(&self) -> usize {
         ShardRouter::shard_count(self)
@@ -63,10 +92,10 @@ impl<F: ConcurrentFilter> ShardEngine for ShardRouter<F> {
         ShardRouter::shard_of(self, key)
     }
 
-    fn shard_execute(&self, shard: usize, op: BatchOpKind, keys: &[&[u8]]) -> Vec<bool> {
+    fn shard_run(&self, shard: usize, op: BatchOpKind, keys: &[&[u8]], out: &mut [bool]) {
         match self.shards().get(shard) {
-            Some(filter) => filter.execute_batch(op, keys),
-            None => vec![false; keys.len()],
+            Some(filter) => filter.run_batch(op, keys, out),
+            None => out.fill(false),
         }
     }
 
@@ -85,26 +114,33 @@ impl<F: ConcurrentFilter> ShardEngine for ShardRouter<F> {
 
 /// One routed key: its frame position, owning shard, and the 8 wire
 /// bytes (kept by value so jobs borrow nothing from the frame buffer).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Item {
     pos: u32,
     shard: u16,
     key: [u8; KEY_LEN],
 }
 
+/// One worker's reusable buffers: its routed items, and the outcome bit
+/// of each item's frame position. They travel to the worker inside a
+/// [`Job`] and come back inside its [`WorkerReply`].
+#[derive(Default)]
+struct WorkerBufs {
+    items: Vec<Item>,
+    results: Vec<(u32, bool)>,
+}
+
 /// One worker's slice of a frame.
 struct Job {
     op: BatchOpKind,
-    items: Vec<Item>,
+    bufs: WorkerBufs,
     reply: mpsc::Sender<WorkerReply>,
 }
 
-/// A worker's answer: outcome bit per routed item, plus the (cleared)
-/// item buffer handed back for reuse.
+/// A worker's answer: the buffers it was sent, with `results` filled.
 struct WorkerReply {
     worker: u32,
-    results: Vec<(u32, bool)>,
-    items: Vec<Item>,
+    bufs: WorkerBufs,
 }
 
 /// The executor went away (worker threads stopped); the server reports
@@ -112,16 +148,64 @@ struct WorkerReply {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorDown;
 
-/// Per-connection routing scratch: a private reply channel plus one
-/// reusable item buffer per worker, so steady-state frames allocate
-/// nothing on the routing side.
+/// Per-connection routing scratch: a private reply channel, one set of
+/// reusable buffers per worker, and the routing sort's buffers, so
+/// steady-state frames allocate nothing on the routing side.
 pub struct ExecScratch {
     reply_tx: mpsc::Sender<WorkerReply>,
     reply_rx: mpsc::Receiver<WorkerReply>,
-    per_worker: Vec<Vec<Item>>,
+    per_worker: Vec<WorkerBufs>,
+    /// The shard of each key of the frame being routed.
+    shards: Vec<u16>,
+    /// Per shard: its key count, then the next free slot in its
+    /// worker's item buffer.
+    next_slot: Vec<u32>,
 }
 
-/// Thread-per-core batch executor over an [`ShardEngine`].
+impl ExecScratch {
+    /// Routes `payload`'s keys into the per-worker item buffers with a
+    /// counting sort: each buffer holds its worker's keys grouped by
+    /// shard, in input order within a shard.
+    fn route(&mut self, engine: &dyn ShardEngine, workers: usize, payload: &[u8]) {
+        self.shards.clear();
+        self.next_slot.fill(0);
+        for key in payload.chunks_exact(KEY_LEN) {
+            let shard = engine.shard_of(key);
+            self.shards.push(shard as u16);
+            if let Some(count) = self.next_slot.get_mut(shard) {
+                *count += 1;
+            }
+        }
+        // Counts become each shard's first slot in its worker's buffer.
+        for (worker, bufs) in self.per_worker.iter_mut().enumerate() {
+            let mut len = 0;
+            for slot in self.next_slot.iter_mut().skip(worker).step_by(workers) {
+                let count = *slot;
+                *slot = len;
+                len += count;
+            }
+            bufs.items.clear();
+            bufs.items.resize(len as usize, Item::default());
+        }
+        let keys = payload.chunks_exact(KEY_LEN).zip(&self.shards);
+        for (pos, (key, &shard)) in keys.enumerate() {
+            let (Some(slot), Some(bufs)) = (
+                self.next_slot.get_mut(usize::from(shard)),
+                self.per_worker.get_mut(usize::from(shard) % workers),
+            ) else {
+                continue;
+            };
+            if let Some(item) = bufs.items.get_mut(*slot as usize) {
+                item.pos = pos as u32;
+                item.shard = shard;
+                item.key.copy_from_slice(key);
+            }
+            *slot += 1;
+        }
+    }
+}
+
+/// Shard-affinity batch executor over an [`ShardEngine`].
 pub struct ShardExecutor {
     engine: Arc<dyn ShardEngine>,
     senders: Vec<mpsc::Sender<Job>>,
@@ -141,7 +225,7 @@ impl ShardExecutor {
             senders.push(tx);
             let engine = Arc::clone(&engine);
             handles.push(std::thread::spawn(move || {
-                worker_loop(&engine, worker as u32, &rx);
+                worker_loop(engine.as_ref(), worker as u32, &rx);
             }));
         }
         Self {
@@ -170,15 +254,18 @@ impl ShardExecutor {
         ExecScratch {
             reply_tx,
             reply_rx,
-            per_worker: (0..self.workers()).map(|_| Vec::new()).collect(),
+            per_worker: (0..self.workers()).map(|_| WorkerBufs::default()).collect(),
+            shards: Vec::new(),
+            next_slot: vec![0; self.engine.shard_count()],
         }
     }
 
     // lint: hot-path
     /// Executes one data frame: routes `payload` (concatenated 8-byte
-    /// keys) to the owning workers, blocks for their replies, and sets
-    /// the per-key outcome bits in `bitmap` (which the caller supplies
-    /// zeroed, sized `bitmap_len(count)`).
+    /// keys) per worker, runs a frame that touches one worker on the
+    /// calling thread and dispatches any other frame to the owning
+    /// workers, and sets the per-key outcome bits in `bitmap` (which the
+    /// caller supplies zeroed, sized `bitmap_len(count)`).
     ///
     /// # Errors
     ///
@@ -194,28 +281,30 @@ impl ShardExecutor {
         if workers == 0 {
             return Err(ExecutorDown);
         }
-        for (pos, chunk) in payload.chunks_exact(KEY_LEN).enumerate() {
-            let mut key = [0u8; KEY_LEN];
-            key.copy_from_slice(chunk);
-            let shard = self.engine.shard_of(&key);
-            let item = Item {
-                pos: pos as u32,
-                shard: shard as u16,
-                key,
-            };
-            if let Some(bucket) = scratch.per_worker.get_mut(shard % workers) {
-                bucket.push(item);
-            }
+        scratch.route(self.engine.as_ref(), workers, payload);
+
+        let mut busy = scratch
+            .per_worker
+            .iter_mut()
+            .filter(|bufs| !bufs.items.is_empty());
+        if let (Some(only), None) = (busy.next(), busy.next()) {
+            run_items(self.engine.as_ref(), op, &only.items, |pos, bit| {
+                if bit {
+                    bitmap_set(bitmap, pos as usize);
+                }
+            });
+            only.items.clear();
+            return Ok(());
         }
 
         let mut dispatched = 0usize;
-        for (worker, bucket) in scratch.per_worker.iter_mut().enumerate() {
-            if bucket.is_empty() {
+        for (worker, bufs) in scratch.per_worker.iter_mut().enumerate() {
+            if bufs.items.is_empty() {
                 continue;
             }
             let job = Job {
                 op,
-                items: std::mem::take(bucket),
+                bufs: std::mem::take(bufs),
                 reply: scratch.reply_tx.clone(),
             };
             match self.senders.get(worker) {
@@ -228,20 +317,22 @@ impl ShardExecutor {
             let Ok(mut reply) = scratch.reply_rx.recv() else {
                 return Err(ExecutorDown);
             };
-            for &(pos, bit) in &reply.results {
+            for &(pos, bit) in &reply.bufs.results {
                 if bit {
                     bitmap_set(bitmap, pos as usize);
                 }
             }
-            reply.items.clear();
-            if let Some(bucket) = scratch.per_worker.get_mut(reply.worker as usize) {
-                *bucket = reply.items;
+            reply.bufs.items.clear();
+            reply.bufs.results.clear();
+            if let Some(bufs) = scratch.per_worker.get_mut(reply.worker as usize) {
+                *bufs = reply.bufs;
             }
         }
         Ok(())
     }
 
     /// Stops the workers and joins them. Idempotent; also run by drop.
+    /// Later frames, inline ones included, report [`ExecutorDown`].
     pub fn shutdown(&mut self) {
         self.senders.clear();
         for handle in self.handles.drain(..) {
@@ -256,32 +347,52 @@ impl Drop for ShardExecutor {
     }
 }
 
-/// Worker body: drain jobs until every sender is gone. Items arrive in
-/// frame order; a stable sort groups them by shard while preserving
-/// input order within each shard, then each run executes as one batch
-/// on the shard's prefetch pipeline.
-fn worker_loop(engine: &Arc<dyn ShardEngine>, worker: u32, rx: &mpsc::Receiver<Job>) {
+/// Worker body: drain jobs until every sender is gone, running each
+/// through [`run_items`] into the job's own `results` buffer.
+fn worker_loop(engine: &dyn ShardEngine, worker: u32, rx: &mpsc::Receiver<Job>) {
     while let Ok(mut job) = rx.recv() {
-        job.items.sort_by_key(|item| item.shard);
-        let mut results = Vec::with_capacity(job.items.len());
-        let mut keys: Vec<&[u8]> = Vec::with_capacity(job.items.len());
-        let mut rest: &[Item] = &job.items;
-        while let Some(first) = rest.first() {
-            let shard = first.shard;
-            let run_len = rest.iter().take_while(|item| item.shard == shard).count();
-            let (run, tail) = rest.split_at(run_len);
-            rest = tail;
-            keys.clear();
-            keys.extend(run.iter().map(|item| &item.key[..]));
-            let bits = engine.shard_execute(shard as usize, job.op, &keys);
-            results.extend(run.iter().zip(bits).map(|(item, bit)| (item.pos, bit)));
-        }
+        let WorkerBufs { items, results } = &mut job.bufs;
+        run_items(engine, job.op, items, |pos, bit| results.push((pos, bit)));
         let reply = WorkerReply {
             worker,
-            results,
-            items: job.items,
+            bufs: job.bufs,
         };
         let _ = job.reply.send(reply);
+    }
+}
+
+// lint: hot-path
+/// Runs one worker's share of a frame, on a worker thread or inline on
+/// the connection thread. `items` come grouped by shard, in input order
+/// within a shard ([`ExecScratch::route`]). Each shard's run executes as
+/// batches of at most [`RUN_CHUNK`] keys on the shard's prefetch
+/// pipeline, and every item's outcome goes to `emit(pos, bit)`.
+fn run_items(
+    engine: &dyn ShardEngine,
+    op: BatchOpKind,
+    items: &[Item],
+    mut emit: impl FnMut(u32, bool),
+) {
+    let mut keys: [&[u8]; RUN_CHUNK] = [&[]; RUN_CHUNK];
+    let mut bits = [false; RUN_CHUNK];
+    let mut rest = items;
+    while let Some(first) = rest.first() {
+        let shard = first.shard;
+        let run_len = rest
+            .iter()
+            .take(RUN_CHUNK)
+            .take_while(|item| item.shard == shard)
+            .count();
+        let (run, tail) = rest.split_at(run_len);
+        rest = tail;
+        for (key, item) in keys.iter_mut().zip(run) {
+            *key = &item.key;
+        }
+        let bits = &mut bits[..run_len];
+        engine.shard_run(usize::from(shard), op, &keys[..run_len], bits);
+        for (item, &bit) in run.iter().zip(bits.iter()) {
+            emit(item.pos, bit);
+        }
     }
 }
 
@@ -313,53 +424,118 @@ mod tests {
         bitmap
     }
 
-    #[test]
-    fn executed_batches_match_direct_router_calls() {
+    /// Keys from a fixed stream whose shards all belong to `worker` of
+    /// `workers`, so a frame of them runs inline.
+    fn keys_of_worker(worker: usize, workers: usize, count: usize, salt: u64) -> Vec<u64> {
+        let engine = test_engine();
+        (0u64..)
+            .map(|i| (i ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .filter(|k| engine.shard_of(&k.to_le_bytes()) % workers == worker)
+            .take(count)
+            .collect()
+    }
+
+    /// True while no frame has gone to a worker: a worker fills the
+    /// `results` buffer it is sent, and that buffer comes back with
+    /// capacity, while the inline path never touches it.
+    fn stayed_inline(scratch: &ExecScratch) -> bool {
+        scratch
+            .per_worker
+            .iter()
+            .all(|bufs| bufs.results.capacity() == 0)
+    }
+
+    /// Runs every frame as an insert, then a lookup, then a delete
+    /// through an executor with `workers` workers, and checks each bit
+    /// against direct batch calls on an identically-built router.
+    fn assert_matches_router(workers: usize, frames: &[Vec<u64>]) {
         let config = CuckooConfig::new(1 << 10).with_seed(7);
         let oracle = ShardedConcurrentVcf::new(config, 3).expect("config is valid");
-        let exec = ShardExecutor::new(test_engine(), 3);
+        let exec = ShardExecutor::new(test_engine(), workers);
         let mut scratch = exec.scratch();
-
-        let keys: Vec<u64> = (0..500u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
-        let key_bytes: Vec<[u8; 8]> = keys.iter().map(|k| k.to_le_bytes()).collect();
-        let key_refs: Vec<&[u8]> = key_bytes.iter().map(|k| &k[..]).collect();
-
-        let inserted = run_bitmap(&exec, &mut scratch, BatchOpKind::Insert, &keys);
-        let expected: Vec<bool> = oracle
-            .insert_batch(&key_refs)
-            .iter()
-            .map(Result::is_ok)
-            .collect();
-        for (i, want) in expected.iter().enumerate() {
-            assert_eq!(bitmap_get(&inserted, i), *want, "insert bit {i}");
+        for op in [
+            BatchOpKind::Insert,
+            BatchOpKind::Lookup,
+            BatchOpKind::Delete,
+        ] {
+            for (frame, keys) in frames.iter().enumerate() {
+                let got = run_bitmap(&exec, &mut scratch, op, keys);
+                let key_bytes: Vec<[u8; 8]> = keys.iter().map(|k| k.to_le_bytes()).collect();
+                let key_refs: Vec<&[u8]> = key_bytes.iter().map(|k| &k[..]).collect();
+                let expected: Vec<bool> = match op {
+                    BatchOpKind::Insert => oracle
+                        .insert_batch(&key_refs)
+                        .iter()
+                        .map(Result::is_ok)
+                        .collect(),
+                    BatchOpKind::Lookup => oracle.contains_batch(&key_refs),
+                    BatchOpKind::Delete => oracle.delete_batch(&key_refs),
+                };
+                for (i, want) in expected.iter().enumerate() {
+                    assert_eq!(
+                        bitmap_get(&got, i),
+                        *want,
+                        "{workers} workers, frame {frame}, {} bit {i}",
+                        op.label()
+                    );
+                }
+            }
+            assert_eq!(exec.engine().total_len(), oracle.len());
         }
-
-        let looked = run_bitmap(&exec, &mut scratch, BatchOpKind::Lookup, &keys);
-        for (i, want) in oracle.contains_batch(&key_refs).iter().enumerate() {
-            assert_eq!(bitmap_get(&looked, i), *want, "lookup bit {i}");
-        }
-
-        let deleted = run_bitmap(&exec, &mut scratch, BatchOpKind::Delete, &keys);
-        for (i, want) in oracle.delete_batch(&key_refs).iter().enumerate() {
-            assert_eq!(bitmap_get(&deleted, i), *want, "delete bit {i}");
-        }
-        assert_eq!(exec.engine().total_len(), oracle.len());
     }
 
     #[test]
-    fn duplicate_keys_in_one_frame_keep_input_order() {
-        let exec = ShardExecutor::new(test_engine(), 2);
+    fn executed_batches_match_direct_router_calls() {
+        let mixed: Vec<u64> = (0..500u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+        // Three workers: the mixed frame is dispatched, each
+        // single-worker frame runs inline.
+        let mut frames = vec![mixed];
+        frames.extend((0..3).map(|w| keys_of_worker(w, 3, 60, 1)));
+        assert_matches_router(3, &frames);
+        // One worker: every frame runs inline.
+        frames.push((0..7u64).collect());
+        assert_matches_router(1, &frames);
+    }
+
+    #[test]
+    fn frames_touching_one_worker_run_inline() {
+        let exec = ShardExecutor::new(test_engine(), 3);
         let mut scratch = exec.scratch();
-        // Two copies inserted, then three deletes: exactly two succeed.
-        let dup = [42u64, 42, 7];
-        let inserted = run_bitmap(&exec, &mut scratch, BatchOpKind::Insert, &dup);
-        assert!(bitmap_get(&inserted, 0));
-        assert!(bitmap_get(&inserted, 1));
-        let deletes = [42u64, 42, 42];
-        let removed = run_bitmap(&exec, &mut scratch, BatchOpKind::Delete, &deletes);
-        assert!(bitmap_get(&removed, 0));
-        assert!(bitmap_get(&removed, 1));
-        assert!(!bitmap_get(&removed, 2));
+        for worker in 0..3 {
+            let keys = keys_of_worker(worker, 3, 40, 2);
+            run_bitmap(&exec, &mut scratch, BatchOpKind::Insert, &keys);
+            let found = run_bitmap(&exec, &mut scratch, BatchOpKind::Lookup, &keys);
+            assert!((0..keys.len()).all(|i| bitmap_get(&found, i)));
+        }
+        assert!(stayed_inline(&scratch));
+        let mixed: Vec<u64> = (0..64u64).collect();
+        run_bitmap(&exec, &mut scratch, BatchOpKind::Lookup, &mixed);
+        assert!(
+            !stayed_inline(&scratch),
+            "a frame touching 3 workers is dispatched"
+        );
+
+        let exec = ShardExecutor::new(test_engine(), 1);
+        let mut scratch = exec.scratch();
+        run_bitmap(&exec, &mut scratch, BatchOpKind::Insert, &mixed);
+        assert!(stayed_inline(&scratch));
+    }
+
+    #[test]
+    fn duplicate_keys_keep_input_order_on_the_inline_path() {
+        for workers in [1, 3] {
+            let exec = ShardExecutor::new(test_engine(), workers);
+            let mut scratch = exec.scratch();
+            // One key routes to one worker: both frames run inline.
+            let inserted = run_bitmap(&exec, &mut scratch, BatchOpKind::Insert, &[42, 42]);
+            assert!(bitmap_get(&inserted, 0));
+            assert!(bitmap_get(&inserted, 1));
+            let removed = run_bitmap(&exec, &mut scratch, BatchOpKind::Delete, &[42, 42, 42]);
+            assert!(bitmap_get(&removed, 0));
+            assert!(bitmap_get(&removed, 1));
+            assert!(!bitmap_get(&removed, 2), "{workers} workers");
+            assert!(stayed_inline(&scratch));
+        }
     }
 
     #[test]
@@ -381,6 +557,22 @@ mod tests {
             exec.execute(BatchOpKind::Insert, &payload, &mut scratch, &mut bitmap),
             Err(ExecutorDown)
         );
+    }
+
+    #[test]
+    fn shutdown_then_inline_frame_reports_down() {
+        for workers in [1, 3] {
+            let mut exec = ShardExecutor::new(test_engine(), workers);
+            let mut scratch = exec.scratch();
+            exec.shutdown();
+            let payload = keys_payload(&keys_of_worker(0, workers, 3, 3));
+            let mut bitmap = vec![0u8; 1];
+            assert_eq!(
+                exec.execute(BatchOpKind::Insert, &payload, &mut scratch, &mut bitmap),
+                Err(ExecutorDown)
+            );
+            assert_eq!(exec.engine().total_len(), 0);
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!   malformed-frame classification;
 //! * [`codec`] — stream framing over TCP/Unix-domain sockets, plus the
 //!   blocking [`codec::Client`];
-//! * [`executor`] — the thread-per-core shard-affinity executor: each
-//!   worker thread exclusively owns a shard group, so a key's ops always
-//!   execute on the thread holding its shard's cache lines;
+//! * [`executor`] — the shard-affinity executor: each worker thread
+//!   owns a shard group, and a frame whose keys all land in one group
+//!   runs on its connection thread instead of crossing to the worker;
 //! * [`server`] — accept loop, per-connection frame loop, engine
 //!   construction ([`vcf_core::ShardedConcurrentVcf`] by default,
 //!   [`vcf_core::ShardedScalableVcf`] with `--elastic`);

@@ -2,9 +2,14 @@
 //! engine construction.
 //!
 //! Threading model: one acceptor thread, one frame-loop thread per
-//! connection, and the [`ShardExecutor`]'s worker threads (the only
-//! threads that touch filter shards). Connection threads do socket I/O
-//! and wire routing; workers do filter work with shard affinity.
+//! connection, and the [`ShardExecutor`]'s worker threads. Connection
+//! threads do socket I/O and wire routing. A frame whose keys all route
+//! to one worker's shards runs on its connection thread; any other
+//! frame is split across the owning workers. So a shard can be touched
+//! by several threads at once, which is safe because shards are
+//! lock-free seqlock `ConcurrentVcf`s or `RwLock`-guarded elastic
+//! filters; per-key order holds because a connection has one frame in
+//! flight.
 //!
 //! Backpressure is structural: the protocol is strictly one request in
 //! flight per connection (a client must read the response before the

@@ -3,6 +3,33 @@
 use crate::{Filter, InsertError, Stats};
 use std::sync::RwLock;
 
+/// Kind of a data-plane batch operation, mirroring the wire opcodes.
+/// A batch of one kind yields one outcome bit per key through
+/// [`ConcurrentFilter::run_batch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BatchOpKind {
+    /// Store every key; per-key bit = 1 when stored, 0 when the filter
+    /// was too full.
+    Insert,
+    /// Membership-test every key; per-key bit = the (approximate) answer.
+    Lookup,
+    /// Remove one copy of every key; per-key bit = 1 when a matching
+    /// entry was found and removed.
+    Delete,
+}
+
+impl BatchOpKind {
+    /// Short lowercase label used by metrics and reports.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            BatchOpKind::Insert => "insert",
+            BatchOpKind::Lookup => "lookup",
+            BatchOpKind::Delete => "delete",
+        }
+    }
+}
+
 /// A thread-safe set-membership sketch: the [`Filter`] contract with
 /// `&self` mutators, so many threads can insert, look up and delete
 /// through a plain shared reference (`Arc<F>`).
@@ -52,10 +79,11 @@ pub trait ConcurrentFilter: Send + Sync {
     fn contains(&self, item: &[u8]) -> bool;
 
     /// Tests membership of many items at once, returning one answer per
-    /// item in order. Implementations override this to batch lock
-    /// acquisitions or overlap bucket loads.
+    /// item in order: a thin adapter over [`Self::run_batch`].
     fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
-        items.iter().map(|item| self.contains(item)).collect()
+        let mut out = vec![false; items.len()];
+        self.run_batch(BatchOpKind::Lookup, items, &mut out);
+        out
     }
 
     /// Removes one copy of `item`; returns `true` if a matching entry was
@@ -63,10 +91,27 @@ pub trait ConcurrentFilter: Send + Sync {
     fn delete(&self, item: &[u8]) -> bool;
 
     /// Removes one copy of each item, returning one answer per item in
-    /// order. Implementations override this to take their exclusive
-    /// section once per batch instead of once per item.
+    /// order: a thin adapter over [`Self::run_batch`].
     fn delete_batch(&self, items: &[&[u8]]) -> Vec<bool> {
-        items.iter().map(|item| self.delete(item)).collect()
+        let mut out = vec![false; items.len()];
+        self.run_batch(BatchOpKind::Delete, items, &mut out);
+        out
+    }
+
+    /// Executes one single-kind batch, writing one outcome bit per item,
+    /// in input order, into `out`, which the caller owns and sizes to
+    /// `items.len()` (insert: stored? lookup: present? delete: removed?).
+    /// This is the one batch call a request/response data plane needs;
+    /// implementations override it to batch lock acquisitions or overlap
+    /// bucket loads, and to run without heap allocation.
+    fn run_batch(&self, op: BatchOpKind, items: &[&[u8]], out: &mut [bool]) {
+        for (bit, item) in out.iter_mut().zip(items) {
+            *bit = match op {
+                BatchOpKind::Insert => self.insert(item).is_ok(),
+                BatchOpKind::Lookup => self.contains(item),
+                BatchOpKind::Delete => self.delete(item),
+            };
+        }
     }
 
     /// Number of entries currently stored (exact at quiescence).
@@ -109,6 +154,10 @@ pub trait ConcurrentFilter: Send + Sync {
 /// the baseline the fine-grained implementations are measured against,
 /// and what `ShardedVcf` wraps per shard.
 ///
+/// Its batch calls run on the sequential filter's own `Vec`-returning
+/// batch methods, so unlike the lock-free engines they allocate per
+/// batch.
+///
 /// Lock poisoning is recovered from rather than propagated: an
 /// approximate filter left mid-mutation by a panicking writer can at
 /// worst misreport membership, which is within the structure's error
@@ -135,25 +184,42 @@ impl<F: Filter + Send + Sync> ConcurrentFilter for RwLock<F> {
             .contains(item)
     }
 
-    fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
-        // One lock acquisition for the whole batch.
-        self.read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .contains_batch(items)
-    }
-
     fn delete(&self, item: &[u8]) -> bool {
         self.write()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .delete(item)
     }
 
-    fn delete_batch(&self, items: &[&[u8]]) -> Vec<bool> {
+    fn run_batch(&self, op: BatchOpKind, items: &[&[u8]], out: &mut [bool]) {
         // One lock acquisition for the whole batch.
-        let mut filter = self
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        items.iter().map(|item| filter.delete(item)).collect()
+        match op {
+            BatchOpKind::Insert => {
+                let results = self
+                    .write()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .insert_batch(items);
+                for (bit, result) in out.iter_mut().zip(results) {
+                    *bit = result.is_ok();
+                }
+            }
+            BatchOpKind::Lookup => {
+                let answers = self
+                    .read()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .contains_batch(items);
+                for (bit, answer) in out.iter_mut().zip(answers) {
+                    *bit = answer;
+                }
+            }
+            BatchOpKind::Delete => {
+                let mut filter = self
+                    .write()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                for (bit, item) in out.iter_mut().zip(items) {
+                    *bit = filter.delete(item);
+                }
+            }
+        }
     }
 
     fn len(&self) -> usize {
@@ -285,6 +351,139 @@ mod tests {
             vec![true, true, true, false]
         );
         assert!(ConcurrentFilter::is_empty(&filter));
+    }
+
+    /// Exact-set filter holding at most four items, so a batch can
+    /// run it full.
+    #[derive(Default)]
+    struct ExactSet {
+        items: Vec<Vec<u8>>,
+    }
+
+    impl Filter for ExactSet {
+        fn insert(&mut self, item: &[u8]) -> Result<(), InsertError> {
+            if self.items.len() >= 4 {
+                return Err(InsertError::Full { kicks: 0 });
+            }
+            self.items.push(item.to_vec());
+            Ok(())
+        }
+
+        fn contains(&self, item: &[u8]) -> bool {
+            self.items.iter().any(|i| i == item)
+        }
+
+        fn delete(&mut self, item: &[u8]) -> bool {
+            match self.items.iter().position(|i| i == item) {
+                Some(at) => {
+                    self.items.swap_remove(at);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.items.len()
+        }
+
+        fn capacity(&self) -> usize {
+            4
+        }
+
+        fn stats(&self) -> Stats {
+            Stats::default()
+        }
+
+        fn reset_stats(&mut self) {}
+
+        fn name(&self) -> String {
+            "ExactSet".to_owned()
+        }
+    }
+
+    #[test]
+    fn run_batch_maps_ops_to_bits() {
+        let filter = RwLock::new(ExactSet::default());
+        let keys: Vec<&[u8]> = vec![b"a", b"b", b"c", b"d", b"e"];
+        let mut out = [false; 5];
+        // Capacity 4: the fifth insert reports full as a 0 bit.
+        filter.run_batch(BatchOpKind::Insert, &keys, &mut out);
+        assert_eq!(out, [true, true, true, true, false]);
+        filter.run_batch(BatchOpKind::Lookup, &keys, &mut out);
+        assert_eq!(out, [true, true, true, true, false]);
+        filter.run_batch(BatchOpKind::Delete, &keys, &mut out);
+        assert_eq!(out, [true, true, true, true, false]);
+        assert!(ConcurrentFilter::is_empty(&filter));
+    }
+
+    #[test]
+    fn default_run_batch_matches_the_rwlock_override() {
+        /// Forwards only the per-key calls, so every batch call runs
+        /// the trait's default bodies.
+        struct PerKey(RwLock<ExactSet>);
+
+        impl ConcurrentFilter for PerKey {
+            fn insert(&self, item: &[u8]) -> Result<(), InsertError> {
+                self.0.insert(item)
+            }
+
+            fn contains(&self, item: &[u8]) -> bool {
+                self.0.contains(item)
+            }
+
+            fn delete(&self, item: &[u8]) -> bool {
+                self.0.delete(item)
+            }
+
+            fn len(&self) -> usize {
+                self.0.len()
+            }
+
+            fn capacity(&self) -> usize {
+                self.0.capacity()
+            }
+
+            fn stats(&self) -> Stats {
+                self.0.stats()
+            }
+
+            fn reset_stats(&self) {}
+
+            fn name(&self) -> String {
+                self.0.name()
+            }
+        }
+
+        let per_key = PerKey(RwLock::new(ExactSet::default()));
+        let locked = RwLock::new(ExactSet::default());
+        let keys: Vec<&[u8]> = vec![b"a", b"b", b"a", b"c", b"d", b"e"];
+        let stored: Vec<bool> = per_key
+            .insert_batch(&keys)
+            .iter()
+            .map(Result::is_ok)
+            .collect();
+        let mut out = vec![false; keys.len()];
+        locked.run_batch(BatchOpKind::Insert, &keys, &mut out);
+        assert_eq!(stored, out);
+        assert_eq!(per_key.contains_batch(&keys), locked.contains_batch(&keys));
+        assert_eq!(per_key.delete_batch(&keys), locked.delete_batch(&keys));
+    }
+
+    #[test]
+    fn run_batch_is_object_safe() {
+        let filter = RwLock::new(ExactSet::default());
+        let dyn_filter: &dyn ConcurrentFilter = &filter;
+        let mut out = [true];
+        dyn_filter.run_batch(BatchOpKind::Lookup, &[b"missing".as_slice()], &mut out);
+        assert_eq!(out, [false]);
+    }
+
+    #[test]
+    fn kind_labels_are_stable() {
+        assert_eq!(BatchOpKind::Insert.label(), "insert");
+        assert_eq!(BatchOpKind::Lookup.label(), "lookup");
+        assert_eq!(BatchOpKind::Delete.label(), "delete");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use vcf_core::ShardedConcurrentVcf;
 use vcf_server::loadgen::{self, LoadgenConfig, WorkloadKind};
 use vcf_server::protocol::{bitmap_get, OpCode};
 use vcf_server::{Client, Endpoint, ServerConfig, ServerHandle};
-use vcf_traits::{BatchOpKind, FilterService};
+use vcf_traits::BatchOpKind;
 
 fn socket_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("vcf-smoke-{tag}-{}.sock", std::process::id()))
@@ -74,7 +74,8 @@ fn uds_single_connection_matches_oracle_bit_for_bit() {
         };
         let bytes = key_bytes(keys);
         let refs: Vec<&[u8]> = bytes.iter().map(|k| &k[..]).collect();
-        let expected = oracle.execute_batch(op, &refs);
+        let mut expected = vec![false; refs.len()];
+        oracle.run_batch(op, &refs, &mut expected);
         for (i, want) in expected.iter().enumerate() {
             assert_eq!(
                 bitmap_get(bitmap, i),
