@@ -22,6 +22,14 @@
 //! * **Delete** locks the candidate buckets (ascending order) so it can
 //!   never race a relocation of the same fingerprint into removing two
 //!   copies (or zero).
+//! * **Batches** of any of the three ops run one staged pipeline
+//!   ([`ConcurrentVcf::run_batch`]): hash a window of 16 keys on the
+//!   stack, prefetch every candidate bucket's table words and seqlock
+//!   word, then run each key's op on its derived `(fingerprint,
+//!   candidates)`, so the up-to-eight misses of one key overlap those of
+//!   the rest of the window. Counters are tallied on the stack and
+//!   flushed once per call. `insert` / `contains` / `delete` run the
+//!   same per-key cores.
 //!
 //! Theorem 1's closure is what makes the two-bucket lock sufficient: the
 //! four candidate buckets of a fingerprint form the XOR coset
@@ -39,8 +47,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use vcf_hash::{mix64, HashKind};
-use vcf_table::AtomicFingerprintTable;
-use vcf_traits::{BatchOpKind, BuildError, ConcurrentFilter, Counters, Filter, InsertError, Stats};
+use vcf_table::{prefetch_read, AtomicFingerprintTable};
+use vcf_traits::{
+    BatchOpKind, BuildError, ConcurrentFilter, Counters, Filter, InsertError, OpCounters, Stats,
+};
 
 /// Maximum length of one unlocked relocation path. Longer cascades are
 /// split across retries of the outer kick loop, so this bounds how much
@@ -52,10 +62,19 @@ const MAX_PATH: usize = 5;
 /// candidate buckets.
 const CONTAINS_RETRIES: usize = 8;
 
-/// Keys whose candidate buckets a batched lookup touches ahead of
-/// probing them (a stack window, as in the sequential VCF's batch
-/// insert).
+/// Keys a batch hashes, and whose candidate buckets and seqlock words it
+/// prefetches, ahead of running them (a stack window, as in the
+/// sequential VCF's batch insert).
 const WINDOW: usize = 16;
+
+/// The counter tally of one call of one op.
+fn one_call(slot_probes: u64, bucket_accesses: u64) -> OpCounters {
+    OpCounters {
+        calls: 1,
+        slot_probes,
+        bucket_accesses,
+    }
+}
 
 /// One hop of a relocation chain: `(bucket, slot, fingerprint)` — the
 /// fingerprint observed in that slot at scan time.
@@ -252,20 +271,78 @@ impl ConcurrentVcf {
         self.table.load_factor()
     }
 
+    /// Derives `item`'s fingerprint and its four candidate buckets: the
+    /// paper's `hash(x)` and `hash(η)`.
     #[inline]
-    fn key_of(&self, item: &[u8]) -> (u32, usize) {
-        key::hash_item(
+    fn derive(&self, item: &[u8]) -> (u32, Candidates) {
+        let (fingerprint, b1) = key::hash_item(
             self.hash,
             item,
             self.fingerprint_bits(),
             self.params.index_mask(),
-        )
+        );
+        let hfp = self.hash.hash_fingerprint(fingerprint);
+        (fingerprint, self.params.candidates(b1, hfp))
     }
 
+    /// Prefetches the table words and the seqlock word of every candidate
+    /// bucket. Pure hints: nothing is loaded, and nothing can panic.
     #[inline]
-    fn candidates_of(&self, fingerprint: u32, b1: usize) -> Candidates {
-        let hfp = self.hash.hash_fingerprint(fingerprint);
-        self.params.candidates(b1, hfp)
+    fn prefetch_candidates(&self, cands: &Candidates) {
+        for bucket in cands.iter() {
+            self.table.prefetch_bucket(bucket);
+            if let Some(version) = self.versions.get(bucket) {
+                prefetch_read(version);
+            }
+        }
+    }
+
+    /// Runs one key's op through `run` on its derived key, flushing the
+    /// call's counter tally — the single-key form of [`Self::pipeline`].
+    #[inline]
+    fn run_one<T>(
+        &self,
+        item: &[u8],
+        run: impl FnOnce(&Self, u32, &Candidates, &mut Stats) -> T,
+    ) -> T {
+        let (fingerprint, cands) = self.derive(item);
+        let mut tally = Stats::new();
+        let out = run(self, fingerprint, &cands, &mut tally);
+        self.counters.add_stats(&tally);
+        out
+    }
+
+    /// The staged batch pipeline behind every batch call. For each
+    /// [`WINDOW`] of `items`: derive every key and prefetch its
+    /// candidates' table and seqlock words (stage), then run `run` on each
+    /// staged key in input order, writing its result into `out` (run).
+    /// The window and the counter tally live on the stack; the tally is
+    /// flushed into [`Counters`] once, when the call returns.
+    ///
+    /// Keys run in input order through the same per-key cores as the
+    /// single-key calls, so the eviction PRNG streams are drawn in the
+    /// same order: a batch leaves the same table, outcomes and `Stats` as
+    /// the serial loop over it.
+    #[inline]
+    fn pipeline<T>(
+        &self,
+        items: &[&[u8]],
+        out: &mut [T],
+        run: impl Fn(&Self, u32, &Candidates, &mut Stats) -> T,
+    ) {
+        let empty = Candidates { buckets: [0; 4] };
+        let mut window = [(0u32, empty); WINDOW];
+        let mut tally = Stats::new();
+        for (chunk, out) in items.chunks(WINDOW).zip(out.chunks_mut(WINDOW)) {
+            for (staged, item) in window.iter_mut().zip(chunk) {
+                *staged = self.derive(item);
+                self.prefetch_candidates(&staged.1);
+            }
+            for (slot, (fingerprint, cands)) in out.iter_mut().zip(&window[..chunk.len()]) {
+                *slot = run(self, *fingerprint, cands, &mut tally);
+            }
+        }
+        self.counters.add_stats(&tally);
     }
 
     /// Distinct candidate buckets in ascending order — the canonical lock
@@ -350,48 +427,59 @@ impl ConcurrentVcf {
     /// Returns [`InsertError::Full`] when `max_kicks` relocation attempts
     /// cannot free a candidate slot.
     pub fn insert(&self, item: &[u8]) -> Result<(), InsertError> {
-        let (fingerprint, b1) = self.key_of(item);
-        let hfp = self.hash.hash_fingerprint(fingerprint);
-        self.counters.add_hashes(2); // hash(x) + hash(η)
-        let cands = self.params.candidates(b1, hfp);
-        let (distinct, distinct_len) = Self::distinct_sorted(&cands);
+        self.run_one(item, Self::insert_key)
+    }
+
+    /// Inserts every item through the batch pipeline, returning one
+    /// result per item in order; a full filter does not stop the batch.
+    /// Same outcomes, table and `Stats` as calling [`Self::insert`] on
+    /// each item in turn.
+    pub fn insert_batch(&self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
+        let mut out = vec![Ok(()); items.len()];
+        self.pipeline(items, &mut out, Self::insert_key);
+        out
+    }
+
+    /// Insert core for an already-derived key, tallying into `tally`.
+    fn insert_key(
+        &self,
+        fingerprint: u32,
+        cands: &Candidates,
+        tally: &mut Stats,
+    ) -> Result<(), InsertError> {
+        tally.hash_computations += 2; // hash(x) + hash(η)
+        let (distinct, distinct_len) = Self::distinct_sorted(cands);
         let slots = self.table.slots_per_bucket() as u64;
 
         let mut probes = 0u64;
         let mut kicks = 0u64;
         let mut rng: Option<SmallRng> = None;
-        loop {
+        let result = 'walk: loop {
             // Fast path: CAS-claim an empty lane in any candidate bucket.
             // Re-run each round — concurrent deletes may free slots while
             // we are path-hunting.
             for &bucket in &distinct[..distinct_len] {
                 probes += slots;
                 if self.table.try_claim(bucket, fingerprint).is_some() {
-                    self.counters.add_kicks(kicks);
-                    self.counters.record_insert(probes, 4 + 3 * kicks);
-                    return Ok(());
+                    break 'walk Ok(());
                 }
             }
             if kicks >= u64::from(self.max_kicks) {
-                self.counters.add_kicks(kicks);
-                self.counters.record_insert(probes, 4 + 3 * kicks);
-                self.counters.add_failed_insert();
-                return Err(InsertError::Full { kicks });
+                tally.failed_inserts += 1;
+                break Err(InsertError::Full { kicks });
             }
 
             let rng = rng.get_or_insert_with(|| {
                 let salt = self.rng_salt.fetch_add(1, Ordering::Relaxed);
                 SmallRng::seed_from_u64(mix64(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
             });
-            match self.find_path(&cands, rng, &mut probes) {
+            match self.find_path(cands, rng, &mut probes) {
                 Some((path, final_dst)) => {
                     let path = path.steps();
                     kicks += path.len() as u64;
-                    self.counters.add_hashes(path.len() as u64);
+                    tally.hash_computations += path.len() as u64;
                     if self.execute_path(path, final_dst, fingerprint) {
-                        self.counters.add_kicks(kicks);
-                        self.counters.record_insert(probes, 4 + 3 * kicks);
-                        return Ok(());
+                        break Ok(());
                     }
                     // A concurrent mutation invalidated the chain; the
                     // executed prefix (if any) already re-homed its
@@ -399,7 +487,10 @@ impl ConcurrentVcf {
                 }
                 None => kicks += 1,
             }
-        }
+        };
+        tally.kicks += kicks;
+        tally.inserts += one_call(probes, 4 + 3 * kicks);
+        result
     }
 
     /// Speculatively (without locks) finds a relocation chain: a sequence
@@ -529,13 +620,20 @@ impl ConcurrentVcf {
 
     // ---- lookup -------------------------------------------------------
 
-    /// Membership probe for an already-derived key. Wait-free on hits;
-    /// misses validate the candidate buckets' seqlock versions so a
-    /// relocation hopping the fingerprint "behind" the probe order cannot
-    /// manufacture a false negative.
-    fn contains_key(&self, fingerprint: u32, cands: &Candidates) -> bool {
+    /// Lookup core for an already-derived key, tallying into `tally`.
+    fn contains_key(&self, fingerprint: u32, cands: &Candidates, tally: &mut Stats) -> bool {
         let (distinct, distinct_len) = Self::distinct_sorted(cands);
-        let distinct = &distinct[..distinct_len];
+        let (found, probes) = self.probe_validated(fingerprint, &distinct[..distinct_len]);
+        tally.lookups += one_call(probes, distinct_len as u64);
+        found
+    }
+
+    /// Membership probe of the `distinct` candidate buckets, returning the
+    /// answer and the slots probed. Wait-free on hits; misses validate
+    /// the buckets' seqlock versions so a relocation hopping the
+    /// fingerprint "behind" the probe order cannot manufacture a false
+    /// negative.
+    fn probe_validated(&self, fingerprint: u32, distinct: &[usize]) -> (bool, u64) {
         debug_assert!(distinct.iter().all(|&b| b < self.versions.len()));
         let slots = self.table.slots_per_bucket() as u64;
 
@@ -551,8 +649,7 @@ impl ConcurrentVcf {
             for &bucket in distinct {
                 probes += slots;
                 if self.table.contains(bucket, fingerprint) {
-                    self.counters.record_lookup(probes, distinct_len as u64);
-                    return true;
+                    return (true, probes);
                 }
             }
             // Miss: only definitive if no candidate bucket was locked or
@@ -568,8 +665,7 @@ impl ConcurrentVcf {
                     // by the seqlock-protocol rule).
                     .all(|(i, &bucket)| self.versions[bucket].load(Ordering::Relaxed) == before[i])
             {
-                self.counters.record_lookup(probes, distinct_len as u64);
-                return false;
+                return (false, probes);
             }
             std::hint::spin_loop();
         }
@@ -591,16 +687,13 @@ impl ConcurrentVcf {
         for &bucket in distinct.iter().rev() {
             self.unlock(bucket);
         }
-        self.counters.record_lookup(probes, distinct_len as u64);
-        found
+        (found, probes)
     }
 
     /// Tests membership of `item`. No false negatives for items whose
     /// insertion happened-before this call.
     pub fn contains(&self, item: &[u8]) -> bool {
-        let (fingerprint, b1) = self.key_of(item);
-        let cands = self.candidates_of(fingerprint, b1);
-        self.contains_key(fingerprint, &cands)
+        self.run_one(item, Self::contains_key)
     }
 
     /// Batched lookup: a thin adapter over [`Self::run_batch`].
@@ -610,44 +703,25 @@ impl ConcurrentVcf {
         out
     }
 
-    /// Batched lookup into `out`: hashes a window of [`WINDOW`] items,
-    /// touching their candidate buckets to overlap cache misses (same
-    /// scheme as the sequential VCF), then probes each of them
-    /// optimistically. The window lives on the stack.
-    fn contains_into(&self, items: &[&[u8]], out: &mut [bool]) {
-        let empty = Candidates { buckets: [0; 4] };
-        let mut window = [(0u32, empty); WINDOW];
-        for (chunk, out) in items.chunks(WINDOW).zip(out.chunks_mut(WINDOW)) {
-            for (staged, item) in window.iter_mut().zip(chunk) {
-                let (fingerprint, b1) = self.key_of(item);
-                let cands = self.candidates_of(fingerprint, b1);
-                for bucket in cands.iter() {
-                    self.table.touch_bucket(bucket);
-                }
-                *staged = (fingerprint, cands);
-            }
-            for (bit, (fingerprint, cands)) in out.iter_mut().zip(&window) {
-                *bit = self.contains_key(*fingerprint, cands);
-            }
-        }
-    }
-
     /// Executes one single-kind batch, writing one outcome bit per item
-    /// into `out` without heap allocation: inserts and deletes run key
-    /// by key, lookups through the windowed prefetch pipeline.
+    /// into `out` without heap allocation (insert: stored? lookup:
+    /// present? delete: removed?).
+    ///
+    /// All three ops run the staged pipeline: a window of 16 keys is
+    /// hashed on the stack and every candidate bucket's table words and
+    /// seqlock word are prefetched, then each key runs the same insert,
+    /// lookup or delete core as the single-key calls, in input order.
+    /// Bits, table and `Stats` match the serial loop over `items`. The
+    /// counters are tallied on the stack and flushed once, when the call
+    /// returns, so a `stats()` snapshot taken during the call lags by at
+    /// most this batch.
     pub fn run_batch(&self, op: BatchOpKind, items: &[&[u8]], out: &mut [bool]) {
         match op {
-            BatchOpKind::Insert => {
-                for (bit, item) in out.iter_mut().zip(items) {
-                    *bit = self.insert(item).is_ok();
-                }
-            }
-            BatchOpKind::Lookup => self.contains_into(items, out),
-            BatchOpKind::Delete => {
-                for (bit, item) in out.iter_mut().zip(items) {
-                    *bit = self.delete(item);
-                }
-            }
+            BatchOpKind::Insert => self.pipeline(items, out, |f, fingerprint, cands, tally| {
+                f.insert_key(fingerprint, cands, tally).is_ok()
+            }),
+            BatchOpKind::Lookup => self.pipeline(items, out, Self::contains_key),
+            BatchOpKind::Delete => self.pipeline(items, out, Self::delete_key),
         }
     }
 
@@ -660,10 +734,13 @@ impl ConcurrentVcf {
     /// moves it between two of *these* buckets, so holding all of them
     /// gives an exact answer: exactly one copy removed if any exists.
     pub fn delete(&self, item: &[u8]) -> bool {
-        let (fingerprint, b1) = self.key_of(item);
-        self.counters.add_hashes(2);
-        let cands = self.candidates_of(fingerprint, b1);
-        let (distinct, distinct_len) = Self::distinct_sorted(&cands);
+        self.run_one(item, Self::delete_key)
+    }
+
+    /// Delete core for an already-derived key, tallying into `tally`.
+    fn delete_key(&self, fingerprint: u32, cands: &Candidates, tally: &mut Stats) -> bool {
+        tally.hash_computations += 2; // hash(x) + hash(η)
+        let (distinct, distinct_len) = Self::distinct_sorted(cands);
         let distinct = &distinct[..distinct_len];
 
         for &bucket in distinct {
@@ -682,7 +759,7 @@ impl ConcurrentVcf {
         for &bucket in distinct.iter().rev() {
             self.unlock(bucket);
         }
-        self.counters.record_delete(probes, distinct_len as u64);
+        tally.deletes += one_call(probes, distinct_len as u64);
         removed
     }
 
@@ -729,6 +806,10 @@ impl ConcurrentFilter for ConcurrentVcf {
         ConcurrentVcf::insert(self, item)
     }
 
+    fn insert_batch(&self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
+        ConcurrentVcf::insert_batch(self, items)
+    }
+
     fn contains(&self, item: &[u8]) -> bool {
         ConcurrentVcf::contains(self, item)
     }
@@ -768,6 +849,10 @@ impl ConcurrentFilter for ConcurrentVcf {
 impl Filter for ConcurrentVcf {
     fn insert(&mut self, item: &[u8]) -> Result<(), InsertError> {
         ConcurrentVcf::insert(self, item)
+    }
+
+    fn insert_batch(&mut self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
+        ConcurrentVcf::insert_batch(self, items)
     }
 
     fn contains(&self, item: &[u8]) -> bool {
@@ -960,6 +1045,138 @@ mod tests {
         for (i, k) in refs.iter().enumerate() {
             assert_eq!(batch[i], f.contains(k), "batch diverged at {i}");
         }
+    }
+
+    /// Drives a random insert/lookup/delete script through the batch
+    /// calls (`run_batch`, and `insert_batch` for every other insert
+    /// batch) on one filter and through the single-key calls on an
+    /// identically seeded twin, asserting identical outcomes, `len()` and
+    /// `Stats` after every batch. Batches hold 1, `WINDOW - 1`, `WINDOW`,
+    /// `WINDOW + 1` and 1024 keys. Below `target` load the script
+    /// inserts; at or above it, it looks up or deletes, so the load
+    /// churns around `target`. Returns the peak load and the final
+    /// `Stats`.
+    fn assert_batch_matches_serial(buckets: usize, target: f64, steps: usize) -> (f64, Stats) {
+        use rand::{Rng, SeedableRng};
+        // A short kick limit keeps the failing inserts of an overfull
+        // 1024-key batch cheap in debug builds.
+        let config = CuckooConfig::new(buckets)
+            .with_seed(0xBA7C4)
+            .with_max_kicks(64);
+        let batched = ConcurrentVcf::new(config).unwrap();
+        let serial = ConcurrentVcf::new(config).unwrap();
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(buckets as u64);
+        let lens = [1, WINDOW - 1, WINDOW, WINDOW + 1, 1024];
+        let mut live: Vec<u64> = Vec::new();
+        let mut next_key = 0u64;
+        let mut peak_load = 0f64;
+        for step in 0..steps {
+            let len = lens[step % lens.len()];
+            let op = if serial.load_factor() < target {
+                BatchOpKind::Insert
+            } else if rng.gen_bool(0.5) {
+                BatchOpKind::Lookup
+            } else {
+                BatchOpKind::Delete
+            };
+            let ids: Vec<u64> = if op == BatchOpKind::Insert {
+                next_key += len as u64;
+                (next_key - len as u64..next_key).collect()
+            } else {
+                // Half live keys, half keys never inserted.
+                (0..len)
+                    .map(|_| match live.len() {
+                        n if n > 0 && rng.gen_bool(0.5) => live[rng.gen_range(0..n)],
+                        _ => u64::MAX - rng.gen_range(0..1u64 << 32),
+                    })
+                    .collect()
+            };
+            let keys: Vec<Vec<u8>> = ids.iter().map(|&i| key(i)).collect();
+            let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+
+            let mut bits = vec![false; len];
+            let expected: Vec<bool> = match op {
+                BatchOpKind::Insert if step % 2 == 0 => {
+                    let serial_results: Vec<_> = refs.iter().map(|k| serial.insert(k)).collect();
+                    let batch_results = batched.insert_batch(&refs);
+                    assert_eq!(batch_results, serial_results, "step {step}: insert_batch");
+                    for (bit, result) in bits.iter_mut().zip(&batch_results) {
+                        *bit = result.is_ok();
+                    }
+                    serial_results.iter().map(Result::is_ok).collect()
+                }
+                _ => {
+                    batched.run_batch(op, &refs, &mut bits);
+                    refs.iter()
+                        .map(|k| match op {
+                            BatchOpKind::Insert => serial.insert(k).is_ok(),
+                            BatchOpKind::Lookup => serial.contains(k),
+                            BatchOpKind::Delete => serial.delete(k),
+                        })
+                        .collect()
+                }
+            };
+            assert_eq!(bits, expected, "step {step}: {} bits", op.label());
+            assert_eq!(batched.len(), serial.len(), "step {step}: len");
+            assert_eq!(batched.stats(), serial.stats(), "step {step}: stats");
+
+            for (&id, &bit) in ids.iter().zip(&expected) {
+                match op {
+                    BatchOpKind::Insert if bit => live.push(id),
+                    BatchOpKind::Delete if bit => {
+                        if let Some(pos) = live.iter().position(|&l| l == id) {
+                            live.swap_remove(pos);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            peak_load = peak_load.max(serial.load_factor());
+        }
+        let stats = serial.stats();
+        assert!(
+            stats.lookups.calls > 0 && stats.deletes.calls > 0,
+            "script ran every op"
+        );
+        (peak_load, stats)
+    }
+
+    #[test]
+    fn batch_matches_serial_at_low_load() {
+        let (peak, stats) = assert_batch_matches_serial(1 << 12, 0.25, 60);
+        assert!(peak < 0.5, "low-load script peaked at {peak}");
+        // Every insert and delete hashes the key and its fingerprint once,
+        // and every relocation rehashes one fingerprint. A walk that finds
+        // no path also counts a kick, so this holds only while every walk
+        // succeeds, as it does at low load.
+        assert_eq!(
+            stats.hash_computations,
+            2 * (stats.inserts.calls + stats.deletes.calls) + stats.kicks,
+            "hashes = 2·(inserts + deletes) + kicks"
+        );
+    }
+
+    #[test]
+    fn batch_matches_serial_at_95_percent_load_with_kicks() {
+        let (peak, stats) = assert_batch_matches_serial(1 << 10, 0.95, 120);
+        assert!(peak >= 0.95, "high-load script only reached {peak}");
+        assert!(stats.kicks > 0, "no relocation ran");
+        assert!(stats.failed_inserts > 0, "no insert hit the kick limit");
+    }
+
+    #[test]
+    fn pipeline_ignores_surplus_output_slots() {
+        // `out` longer than `items`: the slots past the last key keep
+        // their value instead of reusing a stale staged key.
+        let f = small();
+        let keys: Vec<Vec<u8>> = (0..WINDOW as u64 + 3).map(key).collect();
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        let mut out = vec![false; 2 * WINDOW + 8];
+        f.run_batch(BatchOpKind::Insert, &refs, &mut out);
+        assert!(out[..refs.len()].iter().all(|&b| b));
+        assert!(out[refs.len()..].iter().all(|&b| !b));
+        assert_eq!(f.len(), refs.len());
+        assert_eq!(f.stats().inserts.calls, refs.len() as u64);
     }
 
     #[test]

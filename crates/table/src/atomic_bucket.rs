@@ -30,6 +30,7 @@
 //! with `&self` mutators.
 
 use crate::bucket::{BucketEngine, BucketWords};
+use crate::prefetch::prefetch_read;
 use crate::{MAX_BUCKET_SLOTS, MAX_FINGERPRINT_BITS, MIN_FINGERPRINT_BITS};
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use vcf_traits::BuildError;
@@ -354,14 +355,25 @@ impl AtomicFingerprintTable {
         self.engine.load_bucket(&self.words, bucket)
     }
 
-    /// Pulls `bucket`'s cache line toward the core — the batching layer's
-    /// early-touch hook.
+    /// Issues a software prefetch for `bucket`'s words without loading
+    /// them — the batching layer's early-warm hook. Like
+    /// [`BucketEngine::prefetch_bucket`], it hints the first and the last
+    /// word, so a bucket straddling two cache lines gets both. A bucket id
+    /// past the table is ignored: a hint must never be able to panic.
     #[inline]
-    pub fn touch_bucket(&self, bucket: usize) {
-        debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
-        std::hint::black_box(
-            self.words[bucket * self.engine.engine().words_per_bucket()].load(Ordering::Relaxed),
-        );
+    pub fn prefetch_bucket(&self, bucket: usize) {
+        let wpb = self.engine.engine().words_per_bucket();
+        let Some(base) = bucket.checked_mul(wpb) else {
+            return;
+        };
+        if let Some(first) = self.words.get(base) {
+            prefetch_read(first);
+        }
+        if wpb > 1 {
+            if let Some(last) = self.words.get(base.saturating_add(wpb - 1)) {
+                prefetch_read(last);
+            }
+        }
     }
 
     /// Reads the fingerprint in `(bucket, slot)`; `0` means empty.
@@ -523,6 +535,20 @@ mod tests {
         assert_eq!(t.occupied(), all.len());
         for &(b, s, fp) in &all {
             assert_eq!(t.get(b, s), fp, "claimed value lost");
+        }
+    }
+
+    #[test]
+    fn prefetch_bucket_is_a_panic_free_hint() {
+        // Two-word buckets (8 slots × 16 bits) hint both words.
+        for (slots, bits) in [(4, 14), (8, 16)] {
+            let t = AtomicFingerprintTable::new(8, slots, bits).unwrap();
+            t.try_claim(3, 0x2a).unwrap();
+            for bucket in [0, 3, 7, 8, 1 << 40, usize::MAX] {
+                t.prefetch_bucket(bucket);
+            }
+            assert_eq!(t.get(3, 0), 0x2a, "a prefetch must not change state");
+            assert_eq!(t.occupied(), 1);
         }
     }
 

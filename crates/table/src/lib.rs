@@ -66,6 +66,7 @@ pub use fingerprint::FingerprintTable;
 pub use kernels::KernelKind;
 pub use marked::{MarkedEntry, MarkedTable};
 pub use packed::PackedTable;
+pub use prefetch::prefetch_read;
 
 /// Maximum supported slots per bucket.
 pub const MAX_BUCKET_SLOTS: usize = 8;

@@ -4,7 +4,9 @@
 //! The insert pipeline hashes a window of keys up front and issues a
 //! prefetch for every candidate bucket word before any fingerprint is
 //! placed, so the bucket loads of key *i+W* overlap the hashing of keys
-//! *i+W+1..* instead of serialising hash → miss → hash → miss. A prefetch
+//! *i+W+1..* instead of serialising hash → miss → hash → miss. The
+//! function is public so that `vcf-core`'s `ConcurrentVcf` can warm its
+//! per-bucket seqlock words the same way. A prefetch
 //! is purely a performance hint: it reads no data, faults on nothing
 //! (invalid addresses are dropped by the hardware), and has no observable
 //! effect on program state — which is why the one-line intrinsic wrapper

@@ -2,11 +2,25 @@
 //!
 //! Lookup methods take `&self` but still need to count slot probes for the
 //! paper's time-cost analysis (Section V-C measures lookup cost in memory
-//! accesses). `Counters` therefore uses relaxed atomics: negligible cost on
-//! the hot path, and the filters stay `Send + Sync`.
+//! accesses). `Counters` therefore uses relaxed atomics, so the filters
+//! stay `Send + Sync`.
+//!
+//! Each recorder call is one atomic read-modify-write per counter it
+//! touches. Batch paths therefore tally a whole call in a plain [`Stats`]
+//! on the stack and flush it once with [`Counters::add_stats`]: the
+//! counters are exact once the call returns, and a snapshot taken while a
+//! batch runs lags by at most that batch.
 
 use crate::{OpCounters, Stats};
 use core::sync::atomic::{AtomicU64, Ordering};
+
+/// Adds `n` to `counter`, skipping the atomic RMW when `n` is zero.
+#[inline]
+fn add_nonzero(counter: &AtomicU64, n: u64) {
+    if n != 0 {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
+}
 
 /// Atomic mirror of one [`OpCounters`] group.
 #[derive(Debug, Default)]
@@ -23,6 +37,13 @@ impl AtomicOpCounters {
             slot_probes: self.slot_probes.load(Ordering::Relaxed),
             bucket_accesses: self.bucket_accesses.load(Ordering::Relaxed),
         }
+    }
+
+    #[inline]
+    fn add(&self, delta: &OpCounters) {
+        add_nonzero(&self.calls, delta.calls);
+        add_nonzero(&self.slot_probes, delta.slot_probes);
+        add_nonzero(&self.bucket_accesses, delta.bucket_accesses);
     }
 
     fn reset(&self) {
@@ -135,6 +156,20 @@ impl Counters {
         self.hash_computations.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Adds a whole tally at once — every field of `delta` onto the
+    /// matching counter. Zero fields cost nothing, so flushing the tally
+    /// of one lookup touches the same three counters
+    /// [`record_lookup`](Self::record_lookup) does.
+    #[inline]
+    pub fn add_stats(&self, delta: &Stats) {
+        self.inserts.add(&delta.inserts);
+        self.lookups.add(&delta.lookups);
+        self.deletes.add(&delta.deletes);
+        add_nonzero(&self.kicks, delta.kicks);
+        add_nonzero(&self.failed_inserts, delta.failed_inserts);
+        add_nonzero(&self.hash_computations, delta.hash_computations);
+    }
+
     /// Takes a consistent-enough snapshot for reporting.
     pub fn snapshot(&self) -> Stats {
         Stats {
@@ -221,6 +256,83 @@ mod tests {
         assert_eq!(s.kicks, 5);
         assert_eq!(s.failed_inserts, 1);
         assert_eq!(s.hash_computations, 7);
+    }
+
+    #[test]
+    fn add_stats_adds_every_field() {
+        let c = Counters::new();
+        c.record_insert(4, 2);
+        c.add_failed_insert();
+        let delta = Stats {
+            inserts: OpCounters {
+                calls: 5,
+                slot_probes: 40,
+                bucket_accesses: 23,
+            },
+            lookups: OpCounters {
+                calls: 3,
+                slot_probes: 20,
+                bucket_accesses: 12,
+            },
+            deletes: OpCounters {
+                calls: 2,
+                slot_probes: 8,
+                bucket_accesses: 7,
+            },
+            kicks: 9,
+            failed_inserts: 3,
+            hash_computations: 23,
+        };
+        c.add_stats(&delta);
+        let s = c.snapshot();
+        assert_eq!(s.inserts.calls, 6);
+        assert_eq!(s.inserts.slot_probes, 44);
+        assert_eq!(s.inserts.bucket_accesses, 25);
+        assert_eq!(s.lookups, delta.lookups);
+        assert_eq!(s.deletes, delta.deletes);
+        assert_eq!(s.kicks, 9);
+        assert_eq!(s.failed_inserts, 4);
+        assert_eq!(s.hash_computations, 23);
+    }
+
+    #[test]
+    fn add_stats_matches_the_per_call_recorders() {
+        let per_call = Counters::new();
+        per_call.record_insert(8, 4);
+        per_call.add_hashes(2);
+        per_call.record_insert(12, 7);
+        per_call.add_hashes(3);
+        per_call.add_kicks(1);
+        per_call.add_failed_insert();
+        per_call.record_lookup(16, 4);
+        per_call.record_delete(4, 1);
+
+        let tally = Counters::new();
+        let mut delta = Stats::new();
+        delta.inserts = OpCounters {
+            calls: 2,
+            slot_probes: 20,
+            bucket_accesses: 11,
+        };
+        delta.hash_computations = 5;
+        delta.kicks = 1;
+        delta.failed_inserts = 1;
+        delta.lookups = OpCounters {
+            calls: 1,
+            slot_probes: 16,
+            bucket_accesses: 4,
+        };
+        delta.deletes = OpCounters {
+            calls: 1,
+            slot_probes: 4,
+            bucket_accesses: 1,
+        };
+        tally.add_stats(&delta);
+        assert_eq!(tally.snapshot(), per_call.snapshot());
+
+        // An all-zero tally is a no-op.
+        tally.add_stats(&Stats::new());
+        assert_eq!(tally.snapshot(), per_call.snapshot());
     }
 
     #[test]

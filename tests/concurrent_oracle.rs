@@ -17,11 +17,14 @@
 //!
 //! The op mix drives the table to ~95% load so the relocation path (the
 //! only locked section) runs constantly, not just the CAS fast path.
+//! The batch leg runs the same checks with every op issued through
+//! `run_batch` windows instead of single-key calls.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
+use vertical_cuckoo_filters::traits::BatchOpKind;
 use vertical_cuckoo_filters::vcf::{ConcurrentVcf, CuckooConfig};
 
 const WRITERS: u64 = 8;
@@ -193,4 +196,144 @@ fn stable_keys_stay_visible_under_writer_churn() {
     for k in &stable {
         assert!(filter.contains(k), "stable key lost after churn drained");
     }
+}
+
+/// Batch sizes for the batch leg: one key, one under, at and over the
+/// 16-key prefetch window, and several windows with a partial tail.
+const BATCH_LENS: [usize; 5] = [1, 15, 16, 17, 40];
+
+/// One writer of the batch leg. Each round it inserts a batch of fresh
+/// own keys, looks up a batch of stable keys plus its own live keys
+/// (every bit must be set), and, once it holds more than `share` live
+/// keys, deletes a batch of its oldest live keys (every bit must be set:
+/// nobody else deletes them). Returns its successful inserts and deletes
+/// and its live keys.
+fn run_batch_writer(
+    filter: &ConcurrentVcf,
+    stable: &[Vec<u8>],
+    thread: u64,
+    rounds: usize,
+    share: usize,
+) -> (u64, u64, Vec<u64>) {
+    let mut live: VecDeque<u64> = VecDeque::new();
+    let mut next = 0u64;
+    let (mut inserted, mut deleted) = (0u64, 0u64);
+    let mut bits = Vec::new();
+    for round in 0..rounds {
+        let len = BATCH_LENS[round % BATCH_LENS.len()];
+
+        let fresh: Vec<u64> = (next..next + len as u64).collect();
+        next += len as u64;
+        let keys: Vec<Vec<u8>> = fresh.iter().map(|&i| key(thread, i)).collect();
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        bits.clear();
+        bits.resize(refs.len(), false);
+        filter.run_batch(BatchOpKind::Insert, &refs, &mut bits);
+        for (&i, &stored) in fresh.iter().zip(&bits) {
+            if stored {
+                live.push_back(i);
+                inserted += 1;
+            }
+        }
+
+        let own: Vec<Vec<u8>> = live
+            .iter()
+            .rev()
+            .take(len)
+            .map(|&i| key(thread, i))
+            .collect();
+        let mut refs: Vec<&[u8]> = own.iter().map(Vec::as_slice).collect();
+        let offset = round * len % stable.len();
+        refs.extend(
+            stable
+                .iter()
+                .cycle()
+                .skip(offset)
+                .take(len)
+                .map(Vec::as_slice),
+        );
+        bits.clear();
+        bits.resize(refs.len(), false);
+        filter.run_batch(BatchOpKind::Lookup, &refs, &mut bits);
+        assert!(
+            bits.iter().all(|&b| b),
+            "thread {thread} round {round}: batched lookup missed a live or stable key"
+        );
+
+        if live.len() > share {
+            let victims: Vec<u64> = live.drain(..live.len() - share).collect();
+            let keys: Vec<Vec<u8>> = victims.iter().map(|&i| key(thread, i)).collect();
+            let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+            bits.clear();
+            bits.resize(refs.len(), false);
+            filter.run_batch(BatchOpKind::Delete, &refs, &mut bits);
+            assert!(
+                bits.iter().all(|&b| b),
+                "thread {thread} round {round}: batched delete missed an own live key"
+            );
+            deleted += victims.len() as u64;
+        }
+    }
+    (inserted, deleted, live.into())
+}
+
+/// The batch leg: 8 writers drive `run_batch` windows against one filter
+/// at ~95% load, with stable keys that are never deleted.
+#[test]
+fn eight_batch_writers_at_95_percent_load() {
+    // capacity = 512 * 4 = 2048: 200 stable keys plus 8 shares of 215
+    // live keys is 94% between rounds; each round's insert batch pushes
+    // past it, so inserts fail and relocations run throughout.
+    let filter =
+        Arc::new(ConcurrentVcf::new(CuckooConfig::new(1 << 9).with_seed(0xBA7C4)).unwrap());
+    let stable: Arc<Vec<Vec<u8>>> = Arc::new((0..200).map(|i| key(99, i)).collect());
+    for k in stable.iter() {
+        filter.insert(k).unwrap();
+    }
+    let handles: Vec<_> = (0..WRITERS)
+        .map(|t| {
+            let filter = Arc::clone(&filter);
+            let stable = Arc::clone(&stable);
+            std::thread::spawn(move || run_batch_writer(&filter, &stable, t, 400, 215))
+        })
+        .collect();
+    let outcomes: Vec<(u64, u64, Vec<u64>)> = handles
+        .into_iter()
+        .map(|h| h.join().expect("batch writer panicked"))
+        .collect();
+
+    // Zero false negatives, through the single-key and the batch path.
+    let mut survivors: Vec<Vec<u8>> = stable.to_vec();
+    for (t, (_, _, live)) in outcomes.iter().enumerate() {
+        survivors.extend(live.iter().map(|&i| key(t as u64, i)));
+    }
+    let refs: Vec<&[u8]> = survivors.iter().map(Vec::as_slice).collect();
+    let mut bits = vec![false; refs.len()];
+    filter.run_batch(BatchOpKind::Lookup, &refs, &mut bits);
+    for (k, bit) in refs.iter().zip(&bits) {
+        assert!(
+            *bit && filter.contains(k),
+            "false negative after the batch leg"
+        );
+    }
+
+    // Exact occupancy, and the filter really ran near full.
+    let net: u64 = outcomes.iter().map(|(ins, del, _)| ins - del).sum();
+    assert_eq!(
+        filter.len() as u64,
+        stable.len() as u64 + net,
+        "occupancy drifted"
+    );
+    assert_eq!(
+        filter.len(),
+        survivors.len(),
+        "oracle bookkeeping is inconsistent"
+    );
+    assert!(
+        filter.load_factor() > 0.9,
+        "load only {}",
+        filter.load_factor()
+    );
+    let stats = filter.stats();
+    assert!(stats.kicks > 0, "no relocation ran");
 }
